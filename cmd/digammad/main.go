@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"digamma"
-	"digamma/internal/dist"
 	"digamma/internal/serve"
 )
 
@@ -93,17 +92,6 @@ func parseTenantCaps(flagName, s string) (int, map[string]int, error) {
 	return def, per, nil
 }
 
-// splitList splits a comma-separated flag into its non-empty entries.
-func splitList(s string) []string {
-	var out []string
-	for _, e := range strings.Split(s, ",") {
-		if e = strings.TrimSpace(e); e != "" {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // writeAddrFile publishes the bound listen address for whoever spawned us
 // (write-then-rename, so a polling reader never sees a torn file).
 func writeAddrFile(path, addr string) error {
@@ -112,34 +100,6 @@ func writeAddrFile(path, addr string) error {
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-// runWorker serves the distributed island-search protocol (-worker mode):
-// a coordinator digammad dials in, hands this process a shard of islands,
-// and drives them in lockstep. SIGINT/SIGTERM closes the listener; any
-// in-flight coordinator sessions fail and re-home to surviving workers.
-func runWorker(addr, addrFile string, jobs int, logger *slog.Logger) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	if addrFile != "" {
-		if err := writeAddrFile(addrFile, l.Addr().String()); err != nil {
-			return err
-		}
-	}
-	logger.Info("digammad worker listening", "addr", l.Addr().String())
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	go func() {
-		<-ctx.Done()
-		logger.Info("worker shutting down", "cause", "signal")
-		l.Close()
-	}()
-	return dist.Serve(l, dist.WorkerOptions{
-		Workers: jobs,
-		Log:     slog.NewLogLogger(logger.Handler(), slog.LevelInfo),
-	})
 }
 
 // newLogger builds the process logger from the -log-level / -log-format
@@ -164,8 +124,6 @@ func newLogger(level, format string) (*slog.Logger, error) {
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
-		worker   = flag.Bool("worker", false, "run as a distributed-search worker: serve the dist island protocol on -addr instead of the HTTP API (see docs/dist-protocol.md)")
-		distWk   = flag.String("dist-workers", "", "comma-separated digammad -worker addresses; eligible island searches shard across them, bit-identically to local runs (empty = in-process)")
 		addrFile = flag.String("addr-file", "", "write the bound listen address to this file once listening (race-free discovery when spawning on port 0)")
 		jobs     = flag.Int("jobs", 0, "concurrent search jobs (0 = all cores)")
 		queue    = flag.Int("queue", 0, "queued-job bound before submits get 503 (0 = 256)")
@@ -195,7 +153,6 @@ func main() {
 		rate     = flag.Float64("rate", 4, "selftest: sustained-phase submit rate, requests per second")
 		p95Max   = flag.Duration("p95-max", 0, "selftest: fail when the sustained phase's p95 end-to-end latency exceeds this (0 = report only)")
 		benchLn  = flag.Bool("bench-lines", false, "selftest: emit the sustained phase's latency as a Go-benchmark-format row (mean ns/op + p95_ns/op + p99_ns/op) for scripts/bench.sh")
-		distSmok = flag.Bool("dist-smoke", false, "selftest: spawn two -worker copies of this binary, kill one mid-search, and require the distributed result to match the local one bit for bit")
 		target   = flag.String("target", "", "selftest: base URL of a running digammad (empty = in-process server)")
 		pprofOn  = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (CPU/heap profiling of the serving hot path)")
 		logLevel = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
@@ -208,14 +165,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "digammad:", err)
 		os.Exit(1)
-	}
-
-	if *worker {
-		if err := runWorker(*addr, *addrFile, *jobs, logger); err != nil {
-			fmt.Fprintln(os.Stderr, "digammad: worker:", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	tw, err := parseTenantWeights(*weights)
@@ -242,7 +191,6 @@ func main() {
 		TenantBudgetCap: bcDef, TenantBudgetCaps: bcPer,
 		SchedQuantum: *quantum, WaitCap: *waitCap,
 		MaxBatchItems: *maxBatch, MaxTenantSeries: *tSeries,
-		DistWorkers: splitList(*distWk),
 	}
 	if *dataDir != "" {
 		ds, err := serve.OpenDiskStore(*dataDir)
@@ -279,7 +227,7 @@ func main() {
 			Budget: *budget, Islands: *islands, Warm: !*noWarm,
 			Tenants: *tenants, Batch: *batchN,
 			Sustain: *sustain, Rate: *rate, P95Max: *p95Max,
-			BenchLines: *benchLn, DistSmoke: *distSmok,
+			BenchLines: *benchLn,
 		}
 		// The contention phase wants asymmetric weights so fairness has
 		// something to measure; give the in-process server 3:1 unless the

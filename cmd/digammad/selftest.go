@@ -7,16 +7,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"digamma"
 	"digamma/internal/serve"
 	"digamma/internal/workload"
 )
@@ -32,7 +27,6 @@ type selftestOpts struct {
 	Rate                            float64
 	P95Max                          time.Duration
 	BenchLines                      bool
-	DistSmoke                       bool
 }
 
 // selftestMix is the request mix the load generator cycles through: four
@@ -219,11 +213,6 @@ func runSelftest(cfg serve.Config, opts selftestOpts) error {
 	}
 	if opts.Sustain > 0 {
 		if err := runSustainedPhase(target, opts); err != nil {
-			return err
-		}
-	}
-	if opts.DistSmoke {
-		if err := runDistPhase(budget); err != nil {
 			return err
 		}
 	}
@@ -757,89 +746,5 @@ func verifyObservability(target string, ids map[string]struct{}) error {
 	}
 	fmt.Printf("  observability:       %d trace events, %d report phases, %.3fs search span (job %s)\n",
 		len(trace.TraceEvents), len(rep.Search.Phases), rep.Search.SearchSeconds, id)
-	return nil
-}
-
-// runDistPhase is the multi-process smoke: spawn two -worker copies of
-// this very binary, run one island search in-process and once sharded
-// across them — SIGKILLing a worker as soon as the distributed run is
-// demonstrably under way — and require the re-homed result to match the
-// local one bit for bit. This exercises the whole distributed stack
-// (re-exec, handshake, sharded stepping, elite exchange, worker-loss
-// re-homing, final collection) with nothing mocked.
-func runDistPhase(budget int) error {
-	self, err := os.Executable()
-	if err != nil {
-		return fmt.Errorf("dist phase: %w", err)
-	}
-	dir, err := os.MkdirTemp("", "digammad-dist")
-	if err != nil {
-		return fmt.Errorf("dist phase: %w", err)
-	}
-	defer os.RemoveAll(dir)
-
-	spawn := func(i int) (*exec.Cmd, string, error) {
-		af := filepath.Join(dir, fmt.Sprintf("worker%d.addr", i))
-		cmd := exec.Command(self, "-worker", "-addr", "127.0.0.1:0", "-addr-file", af)
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			return nil, "", err
-		}
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			b, err := os.ReadFile(af)
-			if err == nil && len(b) > 0 {
-				return cmd, strings.TrimSpace(string(b)), nil
-			}
-			if time.Now().After(deadline) {
-				cmd.Process.Kill()
-				cmd.Wait()
-				return nil, "", fmt.Errorf("worker %d never published its address", i)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-	victim, a0, err := spawn(0)
-	if err != nil {
-		return fmt.Errorf("dist phase: %w", err)
-	}
-	defer func() { victim.Process.Kill(); victim.Wait() }()
-	survivor, a1, err := spawn(1)
-	if err != nil {
-		return fmt.Errorf("dist phase: %w", err)
-	}
-	defer func() { survivor.Process.Kill(); survivor.Wait() }()
-
-	model, err := digamma.LoadModel("ncf")
-	if err != nil {
-		return fmt.Errorf("dist phase: %w", err)
-	}
-	if budget < 480 {
-		budget = 480
-	}
-	opts := digamma.Options{
-		Budget: budget, Seed: 7, Workers: 1,
-		Islands: 4, MigrateEvery: 2,
-		IslandProfiles: []string{"default", "explorer", "exploiter", "scout"},
-	}
-	ref, err := digamma.Optimize(model, digamma.EdgePlatform(), opts)
-	if err != nil {
-		return fmt.Errorf("dist phase: local run: %w", err)
-	}
-	opts.DistWorkers = []string{a0, a1}
-	var once sync.Once
-	opts.OnProgress = func(p digamma.Progress) {
-		if p.Generation >= 2 {
-			once.Do(func() { victim.Process.Kill() })
-		}
-	}
-	got, err := digamma.Optimize(model, digamma.EdgePlatform(), opts)
-	if err != nil {
-		return fmt.Errorf("dist phase: distributed run: %w", err)
-	}
-	if got.Fitness != ref.Fitness {
-		return fmt.Errorf("dist phase: distributed best %v != local %v after worker kill", got.Fitness, ref.Fitness)
-	}
-	fmt.Printf("  dist smoke:          2 workers spawned, 1 killed mid-run, result bit-identical (fitness %.6g)\n", got.Fitness)
 	return nil
 }

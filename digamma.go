@@ -28,7 +28,6 @@ import (
 	"digamma/internal/coopt"
 	"digamma/internal/core"
 	"digamma/internal/cost"
-	"digamma/internal/dist"
 	"digamma/internal/evalcache"
 	"digamma/internal/obs"
 	"digamma/internal/opt"
@@ -243,21 +242,6 @@ type Options struct {
 	// opt-in, and serving layers hash it into their dedup key. Ignored
 	// on resumed runs and by the baseline vector algorithms.
 	WarmStart bool
-	// DistWorkers lists the addresses (host:port) of digammad worker
-	// processes (started with -worker) to shard a DiGamma island search
-	// across. Empty — the default — runs everything in-process. With
-	// workers configured and an eligible run (Islands ≥ 2, no
-	// per-evaluation or checkpoint hooks, no warm start, resume or
-	// target), the islands execute across the worker processes with
-	// deterministic elite migration over the wire; results are
-	// bit-identical to the in-process run — a pure function of
-	// (Seed, Islands, MigrateEvery, IslandProfiles), never of worker or
-	// process count. Ineligible runs and handshake failures fall back to
-	// the in-process path, also bit-identically. Worker crashes mid-run
-	// are re-homed onto surviving workers; only losing every worker
-	// fails the search. Full co-optimization only: OptimizeMapping
-	// ignores this. See docs/dist-protocol.md.
-	DistWorkers []string
 	// Target, when > 0, stops the genetic search at the first generation
 	// boundary where the best design is valid with fitness ≤ Target,
 	// instead of always spending the whole Budget — time-to-target mode.
@@ -270,10 +254,6 @@ type Options struct {
 	// Latency, picojoules for Energy, and so on. Ignored by the baseline
 	// vector algorithms. Default 0: always run the full budget.
 	Target float64
-
-	// placement is the resolved DistWorkers coordinator, built where the
-	// model and platform are in scope and attached by runEngine.
-	placement core.Placement
 }
 
 // withDefaults fills unset fields and validates the rest up front, so a
@@ -333,9 +313,7 @@ func (o Options) problemFor(model Model, platform Platform) (*Problem, error) {
 // (2× B×L headroom against set-conflict evictions, floored so tiny
 // requests never thrash); len(model.Layers) over-counts duplicates, which
 // only errs toward the safe (larger) side. 0 means the default capacity —
-// the right one for long searches. Worker processes size their caches
-// with the same hint (it travels in the dist.Spec), keeping per-process
-// memory proportional to the run.
+// the right one for long searches.
 func (o Options) cacheHint(model Model) int {
 	if o.Budget <= 0 {
 		return 0
@@ -345,33 +323,6 @@ func (o Options) cacheHint(model Model) int {
 		return 0
 	}
 	return hint
-}
-
-// distPlacement assembles the multi-process coordinator for DistWorkers:
-// a serializable Spec describing this exact run (the worker handshake
-// cross-checks its config fingerprint) plus the worker pool. Nil when no
-// workers are configured or the algorithm is not the genetic engine.
-func (o Options) distPlacement(model Model, platform Platform) core.Placement {
-	if len(o.DistWorkers) == 0 || o.Algorithm != "DiGamma" {
-		return nil
-	}
-	layers := make([]workload.LayerSpec, len(model.Layers))
-	for i, l := range model.Layers {
-		layers[i] = workload.Spec(l)
-	}
-	return &dist.Coordinator{
-		Spec: dist.Spec{
-			ModelName: model.Name,
-			Layers:    layers,
-			Platform:  platform,
-			Objective: o.Objective,
-			Fidelity:  o.Fidelity,
-			CacheHint: o.cacheHint(model),
-			Config:    o.engineConfig(core.DefaultConfig()),
-			Seed:      o.Seed,
-		},
-		Workers: o.DistWorkers,
-	}
 }
 
 // applyFidelity wires the options' fidelity tier into an assembled problem.
@@ -413,7 +364,6 @@ func (o Options) runEngine(ctx context.Context, p *Problem, base core.Config) (*
 	eng.OnCheckpoint = o.OnCheckpoint
 	eng.Resume = o.Resume
 	eng.Trace = o.Trace
-	eng.Placement = o.placement
 	r, err := eng.RunContext(ctx, o.Budget)
 	if err != nil {
 		if r != nil {
@@ -458,7 +408,6 @@ func OptimizeContext(ctx context.Context, model Model, platform Platform, o Opti
 		return nil, err
 	}
 	if o.Algorithm == "DiGamma" {
-		o.placement = o.distPlacement(model, platform)
 		return o.runEngine(ctx, p, core.DefaultConfig())
 	}
 	alg, err := opt.ByName(o.Algorithm)

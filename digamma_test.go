@@ -119,3 +119,32 @@ func TestNewProblemExposed(t *testing.T) {
 		t.Error("empty search space")
 	}
 }
+
+// TestEDPSearchesReturnValidDesigns: valid EDP values on the larger zoo
+// models reach 1e18, so the invalid-design penalty floor must sit above
+// every achievable metric — otherwise the search ranks an invalid point
+// ahead of every valid one and returns it.
+func TestEDPSearchesReturnValidDesigns(t *testing.T) {
+	for _, c := range []struct {
+		model    string
+		platform Platform
+	}{
+		{"resnet18", EdgePlatform()},
+		{"resnet50", EdgePlatform()},
+		{"bert", EdgePlatform()},
+		{"bert", CloudPlatform()},
+	} {
+		m, err := LoadModel(c.model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, err := Optimize(m, c.platform, Options{Budget: 2000, Seed: 1, Objective: EDP})
+		if err != nil {
+			t.Fatalf("%s/%s: %v", c.model, c.platform.Name, err)
+		}
+		if !ev.Valid || ev.Fitness != ev.EnergyPJ*ev.Cycles {
+			t.Errorf("%s/%s: EDP search returned valid=%t fitness %g (energy×cycles %g)",
+				c.model, c.platform.Name, ev.Valid, ev.Fitness, ev.EnergyPJ*ev.Cycles)
+		}
+	}
+}

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
-	"time"
 
 	"digamma/internal/arch"
 	"digamma/internal/cost"
@@ -62,11 +61,16 @@ func ParseObjective(s string) (Objective, error) {
 	return 0, fmt.Errorf("coopt: unknown objective %q", s)
 }
 
-// invalidBase is the fitness floor assigned to constraint-violating design
-// points. It dominates every achievable metric value while still ordering
-// violations by severity, so optimizers are pulled back toward
-// feasibility.
-const invalidBase = 1e18
+// InvalidBase is the fitness floor assigned to constraint-violating design
+// points: an invalid point scores InvalidBase × (1 + overflow). It must
+// dominate every achievable metric value — valid EDP passes 1e18 on the
+// larger zoo models — so every valid design ranks ahead of every invalid
+// one, while violations stay ordered by severity and optimizers are
+// pulled back toward feasibility. It is the historical 1e18 floor scaled
+// by a power of two: the scaling is exact, so invalid points keep exactly
+// the order and ties they had under 1e18, and searches whose valid values
+// never reached 1e18 (latency, energy) run bit-identically.
+const InvalidBase = 1e18 * 0x1p64
 
 // Problem is one co-optimization instance.
 type Problem struct {
@@ -114,17 +118,6 @@ type Problem struct {
 	// searches don't pay the default cache's fixed allocation on every
 	// request.
 	cacheCap int
-
-	// EvalDelay, when > 0, sleeps that long once per scored evaluation
-	// (inside reduce, the single funnel both the full and the delta path
-	// drain into; bound-pruned candidates skip it along with the cost
-	// model). It models an expensive evaluation — a remote cost model, a
-	// cycle-accurate simulator — without changing any value the search
-	// computes: the fitness math never reads it, so results are
-	// bit-identical at any delay. The distributed-search benchmarks use it
-	// to measure wall-clock scaling honestly on machines whose real
-	// evaluation is too cheap to overlap.
-	EvalDelay time.Duration
 
 	// backend is the fidelity tier scoring each layer; nil means the
 	// default analytical model on the unmodified default code path (so
@@ -592,11 +585,6 @@ func (p *Problem) scoreFull(ev *Evaluation, workers int) error {
 // constraint checkers and computes the fitness. Runs in layer order
 // unconditionally, so full and delta evaluations reduce identically.
 func (p *Problem) reduce(ev *Evaluation, hw arch.HW, bufReq []int64) error {
-	if p.EvalDelay > 0 {
-		// Priced evaluation: one sleep per scored point, before any state
-		// is written, so the delay can never interleave with the math.
-		time.Sleep(p.EvalDelay)
-	}
 	layers := p.Space.Layers
 	bufferViolation := 0.0
 	bpw := int64(hw.BytesPerWord)
@@ -649,7 +637,7 @@ func (p *Problem) reduce(ev *Evaluation, hw arch.HW, bufReq []int64) error {
 
 	switch {
 	case !ev.Valid:
-		ev.Fitness = invalidBase * (1 + ev.Overflow)
+		ev.Fitness = InvalidBase * (1 + ev.Overflow)
 	case p.Objective == Latency:
 		ev.Fitness = ev.Cycles
 	case p.Objective == Energy:
@@ -831,7 +819,7 @@ func (p *Problem) FitnessBound(g space.Genome) float64 {
 	// The bound re-associates the same float products the model computes
 	// level by level; shave an epsilon so rounding can never nudge it
 	// past the true fitness.
-	return math.Min(bound*(1-1e-12), invalidBase)
+	return math.Min(bound*(1-1e-12), InvalidBase)
 }
 
 // VectorObjective adapts the problem to the continuous optimizer interface:

@@ -98,8 +98,14 @@ func TestConstraintChecker(t *testing.T) {
 	if ev.Valid {
 		t.Fatalf("oversized design valid: area %v vs budget %g", ev.Area, p.Platform.AreaBudgetMM2)
 	}
-	if ev.Fitness < invalidBase {
+	if ev.Fitness < InvalidBase {
 		t.Errorf("invalid fitness %g below penalty floor", ev.Fitness)
+	}
+	// The floor is the historical 1e18 scaled by a power of two, so every
+	// invalid fitness is exactly the old one scaled: same order, same ties.
+	legacy := 1e18 * (1 + ev.Overflow)
+	if ev.Fitness != legacy*0x1p64 {
+		t.Errorf("invalid fitness %x is not the 1e18-floor fitness %x scaled by 2^64", ev.Fitness, legacy)
 	}
 	if ev.Overflow <= 0 {
 		t.Error("invalid design has zero overflow")

@@ -132,18 +132,6 @@ type IslandState struct {
 	// Pop is the population in install order (the order beginGeneration's
 	// sort sees, so tie-breaking behaves identically after resume).
 	Pop []IndividualState `json:"pop"`
-
-	// Gen and the per-island evaluation-split counters below are recorded
-	// by the distributed shard runner for island re-homing after a worker
-	// loss (the engine-level resume path books these at the run level and
-	// does not consult them). Absent — zero — in pre-dist checkpoints.
-	Gen         int `json:"gen,omitempty"`
-	FullEvals   int `json:"full_evals,omitempty"`
-	PrunedEvals int `json:"pruned_evals,omitempty"`
-	ScoutEvals  int `json:"scout_evals,omitempty"`
-	// Reused carries the island's cumulative rescore-recovered analysis
-	// count (scout islands only) across a re-homing.
-	Reused int `json:"reused,omitempty"`
 }
 
 // IndividualState is one population member: its genome and how it was
@@ -156,6 +144,23 @@ type IndividualState struct {
 	Maps    []mapping.Mapping `json:"maps"`
 	Fitness float64           `json:"fitness"`
 	Pruned  bool              `json:"pruned,omitempty"`
+}
+
+// encodeIndividuals serializes a selection in order, deep-copying each
+// genome through Clone so the encoded state never aliases arena-backed
+// blocks a later generation mutates.
+func encodeIndividuals(sel []individual) []IndividualState {
+	out := make([]IndividualState, len(sel))
+	for i, ind := range sel {
+		g := ind.genome.Clone()
+		out[i] = IndividualState{
+			Fanouts: g.Fanouts,
+			Maps:    g.Maps,
+			Fitness: ind.eval.Fitness,
+			Pruned:  ind.eval.Pruned,
+		}
+	}
+	return out
 }
 
 // Marshal serializes the checkpoint as JSON.
@@ -229,9 +234,7 @@ func (e *Engine) snapshot(res *Result, budget int, islands []*island) *Checkpoin
 }
 
 // snapshotState captures one island at the generation boundary — the
-// per-island slice of Engine.snapshot, shared with the distributed shard
-// runner (whose boundary snapshots and re-homing restores must be
-// indistinguishable from checkpoint/resume).
+// per-island slice of Engine.snapshot.
 func (is *island) snapshotState() IslandState {
 	gets, reuses := is.pool.Stats()
 	return IslandState{
@@ -243,17 +246,14 @@ func (is *island) snapshotState() IslandState {
 		LayersReused: is.layersReused,
 		PoolGets:     gets + is.poolGetBias,
 		PoolReuses:   reuses + is.poolReuseBias,
-		// Deep-copy through Clone so the snapshot never aliases the
-		// arena-backed genome blocks a later generation mutates.
-		Pop: encodeIndividuals(is.cur),
+		Pop:          encodeIndividuals(is.cur),
 	}
 }
 
 // restoreState rebuilds one island from a boundary snapshot: RNG stream
 // fast-forwarded to its recorded position, population re-evaluated into
 // the pool (pure evaluation ⇒ identical fitness, verified), counters and
-// pool biases restored — the per-island slice of Engine.restore, shared
-// with the distributed shard runner's re-homing path.
+// pool biases restored — the per-island slice of Engine.restore.
 func (is *island) restoreState(st *IslandState) error {
 	if len(st.Pop) == 0 {
 		return fmt.Errorf("core: checkpoint island %d has an empty population", is.id)

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -126,6 +128,51 @@ func TestResumeBitIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestResumeLegacyCheckpoint resumes a checkpoint committed from an
+// older build — a seeded 4-island ncf run (scout in the ring, prune on),
+// snapshotted at generation 6 of 12 — and requires the uninterrupted run
+// of this build, bit for bit. Servers resume persisted checkpoints after
+// an upgrade, so the on-disk format must keep decoding and the search
+// must keep replaying exactly; the pinned best and sample split are the
+// older build's own uninterrupted result.
+func TestResumeLegacyCheckpoint(t *testing.T) {
+	const budget = 400
+	mutate := func(c *Config) {
+		c.CheckpointEvery = 1
+		c.Prune = true
+		c.Islands = 4
+		c.MigrateEvery = 2
+		c.Profiles = []string{"default", "explorer", "exploiter", "scout"}
+	}
+	blob, err := os.ReadFile(filepath.Join("testdata", "ncf-islands4-gen6.ckpt.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := UnmarshalCheckpoint(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Generations != 6 || len(ck.Islands) != 4 {
+		t.Fatalf("fixture: generation %d with %d islands, want 6 and 4", ck.Generations, len(ck.Islands))
+	}
+	want, err := seededEngine(t, "ncf", 7, mutate).Run(budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Best.Fitness != 0x1.bfep+07 || want.Generations != 12 ||
+		want.FullEvals != 210 || want.PrunedEvals != 95 || want.ScoutEvals != 95 {
+		t.Errorf("uninterrupted run: best %x gens %d split %d/%d/%d, the fixture's build got 0x1.bfep+07 12 210/95/95",
+			want.Best.Fitness, want.Generations, want.FullEvals, want.PrunedEvals, want.ScoutEvals)
+	}
+	re := seededEngine(t, "ncf", 7, mutate)
+	re.Resume = ck
+	got, err := re.Run(budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareResumed(t, "legacy checkpoint", want, got)
 }
 
 // TestNewSeededMatchesNew pins that the draw-counting construction is pure

@@ -38,7 +38,7 @@ import (
 
 // Config holds DiGamma's hyper-parameters. The paper tunes these with
 // Bayesian optimization (footnote 3); the defaults here come from a coarse
-// sweep recorded in EXPERIMENTS.md.
+// hand sweep, and Tune reruns the paper's flow for one problem.
 type Config struct {
 	PopSize     int     // individuals per generation
 	EliteFrac   float64 // fraction carried over unchanged
@@ -292,25 +292,6 @@ type Engine struct {
 	// traced or not; a nil Trace costs one branch per phase boundary.
 	Trace *obs.Tracer
 
-	// Placement, when set, is offered the whole run before the in-process
-	// island loop starts: a transport seam for executing the islands
-	// somewhere else (the multi-process backend in internal/dist). A
-	// placement that declines — no workers reachable, run shape not
-	// eligible — returns handled == false without consuming any engine
-	// state, and the run falls through to the in-process path with
-	// bit-identical results. See the Placement interface for the
-	// determinism contract. Ignored on resumed runs.
-	Placement Placement
-
-	// OnMigration, when set, observes every migration boundary through the
-	// transport seam: the generation number and each island's outgoing
-	// elite set, serialized exactly as the wire protocol ships them. Both
-	// the in-process ring and the distributed coordinator emit through
-	// this hook, so a test can assert the two transports exchange
-	// byte-identical elites at every boundary. Nil costs one branch per
-	// migration; the callback must not mutate the states.
-	OnMigration func(gen int, exports [][]IndividualState)
-
 	// seed/master back the checkpointing machinery (NewSeeded); a plain
 	// New engine leaves them zero and cannot checkpoint or resume.
 	seed   int64
@@ -437,16 +418,6 @@ func (e *Engine) RunContext(ctx context.Context, budget int) (*Result, error) {
 	}
 	if e.Resume != nil && e.master == nil {
 		return nil, errors.New("core: resume requires an engine built with NewSeeded")
-	}
-	if e.Placement != nil && e.Resume == nil {
-		// Offer the run to the placement before any RNG is drawn: a
-		// declining placement (handled == false) leaves the engine's
-		// streams untouched, so the in-process fallback below remains
-		// bit-identical to a run that never had a placement at all.
-		res, handled, err := e.Placement.Run(ctx, e, budget)
-		if handled {
-			return res, err
-		}
 	}
 	islands, err := e.buildIslands(budget)
 	if err != nil {
@@ -671,13 +642,11 @@ func (e *Engine) buildIslands(budget int) ([]*island, error) {
 	// unseeded construction.
 	rngs := make([]*rand.Rand, k)
 	srcs := make([]*replaySource, k)
-	seeds := make([]int64, k)
 	if k == 1 {
 		rngs[0], srcs[0] = e.Rng, e.master
 	} else {
 		for i := range rngs {
 			seed := e.Rng.Int63()
-			seeds[i] = seed
 			if e.master != nil {
 				srcs[i] = newReplaySource(seed)
 				rngs[i] = rand.New(srcs[i])
@@ -711,7 +680,6 @@ func (e *Engine) buildIslands(budget int) ([]*island, error) {
 			return nil, err
 		}
 		is.src = srcs[i]
-		is.seed = seeds[i]
 		islands[i] = is
 	}
 	if len(e.Config.Warm) > 0 {
@@ -769,10 +737,6 @@ func (e *Engine) account(res *Result, is *island, evs []*coopt.Evaluation) {
 	}
 }
 
-// bestOf returns the best individual across the full-fidelity islands.
-// Scout islands are excluded: their fitnesses are bound-tier readings,
-// comparable only after the migration re-score. buildIslands guarantees
-// at least one non-scout island with a non-empty population.
 // reachedTarget reports whether the time-to-target stop rule fires: a
 // Target is set and some full-fidelity individual already meets it.
 // Evaluated only at generation boundaries, so the stop commutes with
@@ -798,6 +762,10 @@ func (e *Engine) reachedTarget(islands []*island) bool {
 	return false
 }
 
+// bestOf returns the best individual across the full-fidelity islands.
+// Scout islands are excluded: their fitnesses are bound-tier readings,
+// comparable only after the migration re-score. buildIslands guarantees
+// at least one non-scout island with a non-empty population.
 func bestOf(islands []*island) individual {
 	var best individual
 	found := false
@@ -827,7 +795,13 @@ func (e *Engine) migrate(islands []*island, res *Result) error {
 	k := len(islands)
 	out := make([][]individual, k)
 	for i, src := range islands {
-		m := src.migrantCount(e.Config.MigrateCount)
+		// MigrateCount, defaulting to the island's own elite count,
+		// clamped to the population.
+		m := e.Config.MigrateCount
+		if m <= 0 {
+			m = src.elites
+		}
+		m = min(m, len(src.cur))
 		sel := append([]individual(nil), src.cur[:m]...)
 		if src.scout {
 			var err error
@@ -844,17 +818,6 @@ func (e *Engine) migrate(islands []*island, res *Result) error {
 		out[i] = sel
 	}
 
-	if e.OnMigration != nil {
-		// The transport seam's observation point: the outgoing sets,
-		// serialized exactly as the wire protocol would ship them, before
-		// any replacement lands.
-		exports := make([][]IndividualState, k)
-		for i, sel := range out {
-			exports[i] = encodeIndividuals(sel)
-		}
-		e.OnMigration(res.Generations, exports)
-	}
-
 	// replaceAt[j]: next slot to overwrite in island j, walking up from
 	// the worst. Multiple sources can funnel into one destination when
 	// scouts are skipped; the cursor keeps their migrants from clobbering
@@ -863,7 +826,7 @@ func (e *Engine) migrate(islands []*island, res *Result) error {
 	for i, is := range islands {
 		scouts[i] = is.scout
 	}
-	route := MigrationRoute(scouts)
+	route := migrationRoute(scouts)
 	replaceAt := make([]int, k)
 	for j, is := range islands {
 		replaceAt[j] = len(is.cur) - 1
@@ -907,15 +870,31 @@ func (e *Engine) migrate(islands []*island, res *Result) error {
 // race-free because migration is a coordinator-serial phase.
 func (e *Engine) rescore(src *island, sel []individual, res *Result) ([]individual, error) {
 	t0 := e.Trace.Now()
-	out, recovered, err := src.rescoreElites(sel, func(ev *coopt.Evaluation) {
+	h0 := src.full.SharedHits()
+	var l0 uint64
+	if src.full.Cache != nil {
+		l0 = src.full.Cache.Stats().Hits
+	}
+	out := make([]individual, 0, len(sel))
+	for _, ind := range sel {
+		if src.samples >= src.budget {
+			break
+		}
+		ev, err := src.full.EvaluateCanonical(ind.genome)
+		if err != nil {
+			return nil, err
+		}
+		src.samples++
 		res.Samples++
 		res.FullEvals++
 		if e.OnEvaluation != nil {
 			e.OnEvaluation(res.Samples, ev)
 		}
-	})
-	if err != nil {
-		return nil, err
+		out = append(out, individual{ind.genome, ev})
+	}
+	recovered := int(src.full.SharedHits() - h0)
+	if src.full.Cache != nil {
+		recovered += int(src.full.Cache.Stats().Hits - l0)
 	}
 	e.rescoreReused += recovered
 	if e.Trace != nil {
@@ -927,6 +906,36 @@ func (e *Engine) rescore(src *island, sel []individual, res *Result) ([]individu
 		})
 	}
 	return out, nil
+}
+
+// migrationRoute computes the deterministic ring: source island i sends
+// its elites to the next non-scout island clockwise, or nowhere (-1) when
+// that walk comes back to i. With every island a scout (which buildIslands
+// never produces) all routes are -1.
+func migrationRoute(scouts []bool) []int {
+	k := len(scouts)
+	route := make([]int, k)
+	anyFull := false
+	for _, s := range scouts {
+		if !s {
+			anyFull = true
+		}
+	}
+	for i := range route {
+		if !anyFull {
+			route[i] = -1
+			continue
+		}
+		j := (i + 1) % k
+		for scouts[j] {
+			j = (j + 1) % k
+		}
+		if j == i {
+			j = -1
+		}
+		route[i] = j
+	}
+	return route
 }
 
 // emitProgress delivers a Progress snapshot to OnGeneration, if installed.

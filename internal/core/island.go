@@ -39,13 +39,6 @@ type island struct {
 	// otherwise): its position is what checkpoints record and restore
 	// fast-forwards.
 	src *replaySource
-	// seed is the island's stream seed as drawn from the master stream
-	// (multi-island runs only; 0 for the single island, which runs on the
-	// engine's RNG directly). A distributed worker re-derives the same
-	// seeds from the run seed and cross-checks them against the
-	// coordinator's assignment, catching divergent builds at handshake
-	// time instead of as silently different results.
-	seed int64
 
 	// prob scores this island's population: the engine's problem, except
 	// for scout islands, which screen on the "bound" fidelity tier.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 
 	"digamma/internal/coopt"
@@ -41,11 +42,11 @@ func Tune(p *coopt.Problem, o TuneOptions) (Config, float64, error) {
 		cfg := decodeConfig(x)
 		eng, err := New(p, cfg, rand.New(rand.NewSource(o.Seed)))
 		if err != nil {
-			return 1e30
+			return math.Inf(1) // unscorable: the GP skips it
 		}
 		r, err := eng.Run(o.BudgetPerTrial)
 		if err != nil || r.Best == nil {
-			return 1e30
+			return math.Inf(1) // unscorable: the GP skips it
 		}
 		return r.Best.Fitness
 	}

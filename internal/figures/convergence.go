@@ -114,7 +114,7 @@ func traceAlgorithm(alg string, p *coopt.Problem, seed int64, marks []int, worke
 	wrapped := func(x []float64) float64 {
 		f := obj(x)
 		samples++
-		if f < invalidThreshold {
+		if f < coopt.InvalidBase {
 			for mi, mark := range marks {
 				if samples <= mark && (math.IsNaN(curve[mi]) || f < curve[mi]) {
 					curve[mi] = f
@@ -127,10 +127,6 @@ func traceAlgorithm(alg string, p *coopt.Problem, seed int64, marks []int, worke
 	propagateMins(curve)
 	return curve, nil
 }
-
-// invalidThreshold separates real latencies from constraint penalties
-// (coopt's penalty floor is 1e18).
-const invalidThreshold = 1e17
 
 // propagateMins makes the curve monotone: each checkpoint holds the best
 // value seen up to that point.

@@ -26,13 +26,6 @@ type Config struct {
 	// concurrently (each search additionally parallelizes its own
 	// evaluations per its request's Workers option). 0 = GOMAXPROCS.
 	Workers int
-	// DistWorkers lists digammad -worker addresses; eligible island
-	// searches shard across them (see docs/dist-protocol.md). Deployment
-	// config, not a request field: results are bit-identical with or
-	// without it, so it is deliberately excluded from the dedup request
-	// hash — a cached local result answers a distributed run of the same
-	// spec and vice versa. Empty = every search runs in-process.
-	DistWorkers []string
 	// QueueDepth bounds the number of jobs waiting for a worker; submits
 	// beyond it are rejected with 503 rather than queued unboundedly.
 	// 0 = 256.
@@ -425,11 +418,6 @@ func (s *Server) runJob(j *Job) {
 	// cache sharing is bit-identical, and the trajectory-changing warm
 	// start rides in via the spec (and its hash) instead.
 	opts.SharedCache = s.analysis
-	// Distributed placement is likewise deployment config: eligible island
-	// runs shard across the configured worker pool, ineligible ones (and
-	// handshake failures) fall back in-process — bit-identical either way,
-	// which is what keeps it out of the request hash.
-	opts.DistWorkers = s.cfg.DistWorkers
 	opts.Trace = j.trace
 	opts.OnProgress = func(p digamma.Progress) {
 		j.cacheHits.Store(p.CacheHits)

@@ -36,13 +36,6 @@ DIGAMMAD_BENCH_ISLANDS=$ISLANDS go test -run '^$' \
     -bench 'BenchmarkServeOptimize$|BenchmarkServeOptimizeIslands$|BenchmarkServeDedup$|BenchmarkServeWarmTraffic$|BenchmarkServeBatchSweep$|BenchmarkServeMultiTenant$' \
     -benchmem -benchtime "$BENCHTIME" ./internal/serve/ | tee -a "$RAW"
 
-# Distributed island sharding: the same 8-island EvalDelay-bound search
-# in-process vs sharded across 4 spawned worker processes. bestfit/op must
-# be identical between the rows — distribution is a pure wall-clock
-# optimization (bench_guard.sh gates the speedup and the equality).
-go test -run '^$' -bench 'BenchmarkDistIslands$' \
-    -benchtime "$BENCHTIME" ./internal/dist/ | tee -a "$RAW"
-
 # Served tail latency: the selftest's open-loop sustained phase over a
 # small rate sweep, recorded as mean/p95/p99 rows so SLO drift shows up in
 # the same trajectory file as the throughput rows.

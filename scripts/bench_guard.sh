@@ -42,13 +42,7 @@
 # admission pass) must run ≥ BATCH_MIN× (default 1.5×) faster than K
 # independent submits of the same specs (BenchmarkServeBatchSweep).
 # Same-machine ratio, no calibration needed.
-#
-# A fifth gate covers distributed island sharding: the 8-island
-# EvalDelay-bound search across 4 spawned worker processes
-# (BenchmarkDistIslands) must run ≥ DIST_MIN× (default 1.3×) faster than
-# the same search in one process — and its bestfit/op must be *identical*
-# (distribution is a pure wall-clock optimization; a bestfit drift means
-# the determinism contract broke, which is worse than slowness).
+
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -57,7 +51,6 @@ TOL=${TOL:-30}
 BENCHTIME=${BENCHTIME:-1s}
 WARM_MIN=${WARM_MIN:-2.0}
 BATCH_MIN=${BATCH_MIN:-1.5}
-DIST_MIN=${DIST_MIN:-1.3}
 
 [ -f "$BASE" ] || { echo "bench_guard: no baseline $BASE"; exit 1; }
 
@@ -174,37 +167,3 @@ END {
     }
 }
 ' "$BRAW"
-
-# --- distributed scaling gate ------------------------------------------
-DIRAW=$(mktemp)
-trap 'rm -f "$RAW" "$WRAW" "$BRAW" "$DIRAW"' EXIT
-
-go test -run '^$' -bench 'BenchmarkDistIslands$' \
-    -benchtime "$BENCHTIME" ./internal/dist/ | tee "$DIRAW"
-
-awk -v min="$DIST_MIN" '
-/^BenchmarkDistIslands\/single/ {
-    single = $3
-    for (i = 2; i <= NF; i++) if ($(i) == "bestfit/op") sfit = $(i - 1)
-}
-/^BenchmarkDistIslands\/workers4/ {
-    dist = $3
-    for (i = 2; i <= NF; i++) if ($(i) == "bestfit/op") dfit = $(i - 1)
-}
-END {
-    if (single == "" || dist == "" || dist + 0 == 0) {
-        print "bench_guard: dist-islands rows missing"; exit 1
-    }
-    ratio = single / dist
-    printf "bench_guard: distributed 4-process speedup %.2fx (single %.0f ns/op, workers4 %.0f ns/op, floor %.1fx)\n", \
-        ratio, single, dist, min
-    if (sfit != dfit) {
-        printf "REGRESSION BenchmarkDistIslands: bestfit diverged (single %s vs workers4 %s) — determinism contract broken\n", sfit, dfit
-        exit 1
-    }
-    if (ratio < min) {
-        printf "REGRESSION BenchmarkDistIslands: single/workers4 speedup %.2fx < %.1fx\n", ratio, min
-        exit 1
-    }
-}
-' "$DIRAW"
