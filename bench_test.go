@@ -8,6 +8,7 @@ package digamma
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"digamma/internal/arch"
@@ -198,6 +199,42 @@ func BenchmarkDiGammaSearch(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Optimize(p, 400, int64(i+1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDiGammaSearchWorkers runs one resnet18 search at a budget of
+// 4000 samples serially (Workers=1) and on a full crew (Workers =
+// GOMAXPROCS), each iteration on a fresh problem so neither row inherits
+// the other's cache. scripts/bench_guard.sh gates serial/parallel ≥
+// PAR_MIN on hosts with two or more CPUs: a second core must pay.
+func BenchmarkDiGammaSearchWorkers(b *testing.B) {
+	model, err := workload.ByName("resnet18")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, row := range []struct {
+		name    string
+		workers int
+	}{{"serial", 1}, {"parallel", runtime.GOMAXPROCS(0)}} {
+		b.Run("resnet18/"+row.name, func(b *testing.B) {
+			cfg := core.DefaultConfig()
+			cfg.Workers = row.workers
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				p, err := coopt.NewProblem(model, arch.Edge(), coopt.Latency)
+				if err != nil {
+					b.Fatal(err)
+				}
+				eng, err := core.New(p, cfg, rand.New(rand.NewSource(int64(i+1))))
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := eng.Run(4000); err != nil {
 					b.Fatal(err)
 				}
 			}

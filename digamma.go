@@ -161,9 +161,12 @@ type Options struct {
 	// Algorithm selects the optimizer (see Algorithms()). Default
 	// "DiGamma".
 	Algorithm string
-	// Workers bounds DiGamma's parallel evaluation workers. 0 uses every
-	// available core (the default); 1 forces a serial run. Results are
-	// bit-identical at any setting — parallelism changes only wall-clock.
+	// Workers sizes DiGamma's crew: the search goroutine plus Workers−1
+	// helper goroutines that live for the whole run and evaluate design
+	// points while the search goroutine breeds the next ones (capped at
+	// GOMAXPROCS). 0 uses every available core (the default); 1 forces a
+	// serial run. Results are bit-identical at any setting — parallelism
+	// changes only wall-clock.
 	Workers int
 	// Fidelity selects the cost-model tier scoring every design point
 	// (see Fidelities()). Default "analytical" — the unmodified default
@@ -196,8 +199,8 @@ type Options struct {
 	// diversity lever.
 	IslandProfiles []string
 	// OnProgress, when non-nil, receives a snapshot after every search
-	// generation (baseline algorithms report every ~budget/50 samples).
-	// It runs on the search goroutine and never influences the search:
+	// generation (baseline algorithms report every ~budget/50 samples, at
+	// most every 4096). It runs on the search goroutine and never influences the search:
 	// results are bit-identical with or without it.
 	OnProgress func(Progress)
 	// CheckpointEvery, when > 0 together with OnCheckpoint, emits a

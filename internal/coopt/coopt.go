@@ -850,13 +850,20 @@ func (p *Problem) RunVector(o opt.Optimizer, budget int, seed int64) (*Evaluatio
 // so RunVectorContext panics past it and recovers on the way out.
 type cancelSignal struct{ samples int }
 
+// maxVectorStride caps the progress stride of a vector baseline, so a huge
+// budget still reports within milliseconds of starting: budget/50 at a
+// 50M-sample budget would first report after a million evaluations,
+// seconds in (minutes under the race detector).
+const maxVectorStride = 4096
+
 // RunVectorContext is RunVector with cooperative cancellation and optional
 // progress reporting. The objective is wrapped with a per-probe context
 // check: once ctx is done the wrapper unwinds the optimizer immediately
 // (via a recovered sentinel panic) and the run reports ctx.Err().
 // progress, when non-nil, is called from the search goroutine roughly once
-// per generation-equivalent (every max(1, budget/50) evaluations) with the
-// number of samples spent and the best fitness seen. Runs that complete
+// per generation-equivalent — every budget/50 evaluations, clamped to
+// [1, maxVectorStride] — with the number of samples spent and the best
+// fitness seen. Runs that complete
 // without cancellation are bit-identical to RunVector: the wrapper forwards
 // objective values untouched and draws nothing from the RNG.
 func (p *Problem) RunVectorContext(ctx context.Context, o opt.Optimizer, budget int, seed int64,
@@ -864,10 +871,7 @@ func (p *Problem) RunVectorContext(ctx context.Context, o opt.Optimizer, budget 
 	if budget < 1 {
 		return nil, errors.New("coopt: non-positive budget")
 	}
-	stride := budget / 50
-	if stride < 1 {
-		stride = 1
-	}
+	stride := min(max(budget/50, 1), maxVectorStride)
 	obj := p.VectorObjective()
 	samples := 0
 	best := math.Inf(1)

@@ -28,11 +28,11 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sort"
 	"time"
 
 	"digamma/internal/coopt"
 	"digamma/internal/obs"
-	"digamma/internal/par"
 	"digamma/internal/space"
 )
 
@@ -52,7 +52,7 @@ type Config struct {
 	DivisorBias float64 // chance tile mutations snap to divisors
 	GreedyCross float64 // chance crossover picks per-layer blocks greedily
 	SeedFrac    float64 // fraction of the initial population seeded conservatively
-	Workers     int     // parallel evaluation workers (≤ 1 = serial; DefaultConfig: GOMAXPROCS); results are deterministic either way
+	Workers     int     // crew size: the run's goroutine plus Workers−1 persistent helpers, capped at GOMAXPROCS (≤ 1 = serial; DefaultConfig: GOMAXPROCS); results are deterministic either way
 
 	// Prune, when set, screens every bred candidate against its provable
 	// fitness lower bound (coopt.Problem.FitnessBound) before full
@@ -423,9 +423,12 @@ func (e *Engine) RunContext(ctx context.Context, budget int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	c := newCrew(min(e.Config.Workers, runtime.GOMAXPROCS(0)))
+	defer c.stop()
 	e.rescoreReused = 0
 	res := &Result{}
 	evs := make([][]*coopt.Evaluation, len(islands))
+	counts := make([]int, len(islands))
 
 	if e.Resume != nil {
 		// Resume: rebuild the checkpointed populations and accounting
@@ -436,21 +439,16 @@ func (e *Engine) RunContext(ctx context.Context, budget int) (*Result, error) {
 		}
 	} else {
 		// Initial populations: genomes drawn serially per island (each
-		// island's private RNG stream fixes them), then evaluated as one
-		// batch per island — island-concurrent — so the first generation
-		// parallelizes like every later one.
+		// island's private RNG stream fixes them), then scored as one batch
+		// across the crew, so the first generation parallelizes like every
+		// later one.
 		initial := make([][]space.Genome, len(islands))
 		for i, is := range islands {
 			initial[i] = is.initialGenomes()
+			is.prepareBatch(initial[i], nil, nil)
+			counts[i] = len(initial[i])
 		}
-		err = e.forIslands(islands, func(i, workers int) error {
-			var err error
-			t0 := e.Trace.Now()
-			evs[i], err = islands[i].evaluateBatch(initial[i], nil, nil, workers)
-			e.traceEvaluate(obs.PhaseInit, islands[i], 0, t0, len(initial[i]))
-			return err
-		})
-		if err != nil {
+		if err := e.evaluate(c, islands, counts, evs, obs.PhaseInit, 0); err != nil {
 			return nil, err
 		}
 		for i, is := range islands {
@@ -470,8 +468,7 @@ func (e *Engine) RunContext(ctx context.Context, budget int) (*Result, error) {
 	// The brood-size and output rows are hoisted out of the generation
 	// loop (and each island's breeding/evaluation buffers live on the
 	// island), so a steady-state generation allocates nothing beyond what
-	// the evaluations themselves need.
-	counts := make([]int, len(islands))
+	// the evaluations themselves need and the crew's per-batch job record.
 	for res.Samples < budget && !e.reachedTarget(islands) {
 		// Top of the body is the generation boundary: populations
 		// installed, no RNG drawn for the next generation. A cancellation
@@ -507,29 +504,7 @@ func (e *Engine) RunContext(ctx context.Context, budget int) (*Result, error) {
 			e.traceSpan(obs.PhaseMigrate, -1, res.Generations, t0)
 		}
 
-		// Each island breeds serially on its own RNG stream (which fixes
-		// the children) and evaluates the batch — island-concurrent, and
-		// evaluation is pure, so results and sample accounting stay
-		// deterministic at any worker count.
-		err := e.forIslands(islands, func(i, workers int) error {
-			is := islands[i]
-			// res.Generations is written only on the coordinator between
-			// lockstep phases, so reading it here for span labels is safe.
-			gen := res.Generations
-			t0 := e.Trace.Now()
-			counts[i] = is.breedChildren()
-			if counts[i] == 0 {
-				return nil // budget share spent: the island idles
-			}
-			e.traceSpan(obs.PhaseBreed, is.id, gen, t0)
-			var err error
-			n := counts[i]
-			t1 := e.Trace.Now()
-			evs[i], err = is.evaluateBatch(is.children[:n], is.parents[:n], is.dirt[:n], workers)
-			e.traceEvaluate(obs.PhaseEvaluate, is, gen, t1, n)
-			return err
-		})
-		if err != nil {
+		if err := e.generation(c, islands, counts, evs, res.Generations); err != nil {
 			return nil, err
 		}
 		for i, is := range islands {
@@ -696,23 +671,85 @@ func (e *Engine) buildIslands(budget int) ([]*island, error) {
 	return islands, nil
 }
 
-// forIslands runs one lockstep phase: fn(i, workers) for every island,
-// concurrently up to the engine's worker budget, with the workers split
-// across the islands' batch evaluations — the remainder goes to the
-// first islands, so no core idles when k does not divide the budget
-// (results never depend on the split; only wall-clock does). A single
-// island runs on the caller's goroutine with the full worker budget —
-// exactly the classic engine's shape.
-func (e *Engine) forIslands(islands []*island, fn func(i, workers int) error) error {
-	k := len(islands)
-	workers := max(e.Config.Workers, 1)
-	return par.For(k, min(k, workers), func(i int) error {
-		w := workers / k
-		if i < workers%k {
-			w++
+// generation breeds and scores one generation of every island on the
+// crew, leaving island i's brood size in counts[i] (0 once its budget
+// share is spent: the island idles) and its evaluations in evs[i]. Each
+// island breeds serially on its own RNG stream, which fixes its children;
+// evaluation is pure; so results and sample accounting are the same at
+// any crew size.
+//
+// A single population overlaps the two: the coordinator breeds child by
+// child, releasing each to the helpers, which score it at once; after the
+// last child it joins the drain. Its breed span is the coordinator's
+// breeding and its evaluate span runs from the last child bred to the
+// batch's completion, so the two tile the generation. K islands instead
+// breed island-concurrently, then score all broods as one batch, so the
+// crew stays busy whatever K is against the crew's size.
+func (e *Engine) generation(c *crew, islands []*island, counts []int, evs [][]*coopt.Evaluation, gen int) error {
+	if len(islands) == 1 {
+		is := islands[0]
+		n := is.brood()
+		if counts[0] = n; n == 0 {
+			return nil
 		}
-		return fn(i, max(w, 1))
+		t0 := e.Trace.Now()
+		is.prepareBatch(is.children[:n], is.parents[:n], is.dirt[:n])
+		j := c.start(n, 0, is.evalSlot)
+		for i := 0; i < n; i++ {
+			is.breedSlot(i)
+			j.release(i + 1)
+		}
+		e.traceSpan(obs.PhaseBreed, is.id, gen, t0)
+		t1 := e.Trace.Now()
+		err := c.finish(j)
+		evs[0] = is.finishBatch()
+		e.traceEvaluate(obs.PhaseEvaluate, is, gen, t1, n)
+		return err
+	}
+	err := c.run(len(islands), func(i int) error {
+		is := islands[i]
+		t0 := e.Trace.Now()
+		n := is.brood()
+		if counts[i] = n; n == 0 {
+			return nil
+		}
+		for s := 0; s < n; s++ {
+			is.breedSlot(s)
+		}
+		is.prepareBatch(is.children[:n], is.parents[:n], is.dirt[:n])
+		e.traceSpan(obs.PhaseBreed, is.id, gen, t0)
+		return nil
 	})
+	if err != nil {
+		return err
+	}
+	return e.evaluate(c, islands, counts, evs, obs.PhaseEvaluate, gen)
+}
+
+// evaluate scores every island's prepared batch (counts[i] slots each) as
+// one job on the crew — slot j of the concatenated batches belongs to the
+// first island whose running total exceeds j — and leaves island i's
+// evaluations in evs[i]. Each island's span covers the whole job: its
+// batch is done only when the job is.
+func (e *Engine) evaluate(c *crew, islands []*island, counts []int, evs [][]*coopt.Evaluation, phase string, gen int) error {
+	ends := make([]int, len(islands))
+	total := 0
+	for i, n := range counts {
+		total += n
+		ends[i] = total
+	}
+	t0 := e.Trace.Now()
+	err := c.run(total, func(j int) error {
+		i := sort.SearchInts(ends, j+1)
+		return islands[i].evalSlot(j - (ends[i] - counts[i]))
+	})
+	for i, is := range islands {
+		if counts[i] > 0 {
+			evs[i] = is.finishBatch()
+			e.traceEvaluate(phase, is, gen, t0, counts[i])
+		}
+	}
+	return err
 }
 
 // account books one island batch against the run: sample counters split

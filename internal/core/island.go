@@ -9,7 +9,6 @@ import (
 	"digamma/internal/coopt"
 	"digamma/internal/mapping"
 	"digamma/internal/obs"
-	"digamma/internal/par"
 	"digamma/internal/space"
 	"digamma/internal/workload"
 )
@@ -23,9 +22,9 @@ import (
 //
 // Everything an island mutates is island-private — cur, rng, best, stall,
 // samples, the evaluation pool and the breeding arenas — so K islands
-// breed and evaluate concurrently under par.For with no synchronization,
-// and results are a pure function of (Seed, Islands, MigrateEvery,
-// Profiles), never of Workers.
+// breed concurrently on the run's crew with no synchronization, any crew
+// member can score any slot of a prepared batch, and results are a pure
+// function of (Seed, Islands, MigrateEvery, Profiles), never of Workers.
 type island struct {
 	id  int
 	cfg Config // base Config with this island's profile applied
@@ -58,10 +57,10 @@ type island struct {
 	// best is the incumbent fitness the pruning screen compares bounds
 	// against, and stall counts consecutive generations it has stood
 	// still (arming the screen once it reaches cfg.PruneStall). Both live
-	// entirely on the island's step: evaluateBatch snapshots them into
-	// locals before fanning out, so batch workers never touch them — a
-	// mid-batch read from a worker would be a data race AND would break
-	// the per-batch pruning determinism.
+	// entirely on the island's step: prepareBatch freezes the screen into
+	// prune/threshold before any slot is scored, so crew members never
+	// touch them — a mid-batch read from a member would be a data race AND
+	// would break the per-batch pruning determinism.
 	best  float64
 	stall int
 
@@ -98,6 +97,16 @@ type island struct {
 	dirt     []space.Dirty
 	evals    []*coopt.Evaluation
 	reused   []int32
+
+	// The batch being scored (prepareBatch → evalSlot → finishBatch): its
+	// genomes, the delta-path inputs (nil for an initial batch) and the
+	// frozen pruning screen. Written only by prepareBatch, on the
+	// coordinator, before the batch is handed to the crew.
+	batch        []space.Genome
+	batchParents []*coopt.Evaluation
+	batchDirt    []space.Dirty
+	prune, delta bool
+	threshold    float64
 
 	// Breeding arenas: chunked backing stores for the genome headers and
 	// mapping blocks children allocate. Blocks are shared copy-on-write
@@ -263,11 +272,11 @@ func (is *island) sortPop() {
 	sort.Slice(is.cur, func(a, b int) bool { return is.cur[a].eval.Fitness < is.cur[b].eval.Fitness })
 }
 
-// breedChildren breeds the generation's offspring serially on the
-// island's RNG stream (which fixes them), capped by the remaining budget
-// share, into the island's reusable child/parent/dirty buffers. Returns
-// the brood size; the caller evaluates children[:n] as one batch.
-func (is *island) breedChildren() int {
+// brood sizes the generation's offspring — the population minus its
+// elites, capped by the remaining budget share — and readies the island's
+// reusable child/parent/dirty buffers for that many. Returns 0 once the
+// share is spent.
+func (is *island) brood() int {
 	need := is.pop - is.elites
 	if remaining := is.budget - is.samples; need > remaining {
 		need = remaining
@@ -281,15 +290,19 @@ func (is *island) breedChildren() int {
 	if is.traced {
 		is.ops = growSlice(is.ops, need)
 	}
-	for i := 0; i < need; i++ {
-		is.dirt[i] = space.Dirty{}
-		child, parent, mask := is.breed(&is.dirt[i])
-		is.children[i], is.parents[i] = child, parent
-		if is.traced {
-			is.ops[i] = mask
-		}
-	}
 	return need
+}
+
+// breedSlot breeds child i of the brood on the island's RNG stream. The
+// children must be bred in slot order — the stream fixes them — and
+// breeding reads only the installed population, never another child.
+func (is *island) breedSlot(i int) {
+	is.dirt[i] = space.Dirty{}
+	child, parent, mask := is.breed(&is.dirt[i])
+	is.children[i], is.parents[i] = child, parent
+	if is.traced {
+		is.ops[i] = mask
+	}
 }
 
 // growSlice resizes buf to n elements, reusing its backing when possible.
@@ -300,11 +313,11 @@ func growSlice[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// evaluateBatch scores a slice of genomes against the island's problem,
-// fanning out across workers goroutines when configured, into pooled
-// Evaluation buffers acquired serially up front (the pool is not
-// concurrency-safe; the workers only fill their own slot). Evaluation is
-// pure, so the result slice is identical regardless of worker count.
+// prepareBatch readies the island to score gs against its problem: it
+// acquires the pooled Evaluation buffers serially (the pool is not
+// concurrency-safe; evalSlot only fills its own slot) and freezes the
+// pruning decision for the batch. gs may still be filling — a brood being
+// bred — since slot i is read only when evalSlot(i) runs.
 //
 // parents/dirt, when non-nil, carry each child's breeding parent and the
 // operators' dirty set: candidates take the delta path, cloning the
@@ -313,42 +326,50 @@ func growSlice[T any](buf []T, n int) []T {
 // lower bound already exceeds the incumbent best skip the cost model
 // entirely and carry the bound instead; the incumbent is frozen for the
 // batch, so pruning decisions are deterministic too.
-func (is *island) evaluateBatch(gs []space.Genome, parents []*coopt.Evaluation, dirt []space.Dirty, workers int) ([]*coopt.Evaluation, error) {
+func (is *island) prepareBatch(gs []space.Genome, parents []*coopt.Evaluation, dirt []space.Dirty) {
 	is.evals = growSlice(is.evals, len(gs))
 	is.reused = growSlice(is.reused, len(gs))
-	out, reused := is.evals[:len(gs)], is.reused[:len(gs)]
 	for i := range gs {
-		out[i] = is.pool.Get()
+		is.evals[i] = is.pool.Get()
 	}
-	prune := is.cfg.Prune && !math.IsInf(is.best, 1) && is.stall >= is.cfg.PruneStall
-	threshold := is.best * math.Max(is.cfg.PruneMargin, 1)
-	delta := parents != nil && !is.cfg.NoDelta
-	err := par.For(len(gs), workers, func(i int) error {
-		if prune {
-			if b := is.prob.FitnessBound(gs[i]); b > threshold {
-				coopt.PrunedInto(out[i], gs[i], b)
-				reused[i] = -2
-				return nil
-			}
+	is.batch, is.batchParents, is.batchDirt = gs, parents, dirt
+	is.prune = is.cfg.Prune && !math.IsInf(is.best, 1) && is.stall >= is.cfg.PruneStall
+	is.threshold = is.best * math.Max(is.cfg.PruneMargin, 1)
+	is.delta = parents != nil && !is.cfg.NoDelta
+}
+
+// evalSlot scores slot i of the prepared batch. Evaluation is pure and
+// writes only slot i, so any crew member may run it and the batch's
+// results never depend on which one did.
+func (is *island) evalSlot(i int) error {
+	g, out := is.batch[i], is.evals[i]
+	if is.prune {
+		if b := is.prob.FitnessBound(g); b > is.threshold {
+			coopt.PrunedInto(out, g, b)
+			is.reused[i] = -2
+			return nil
 		}
-		if delta {
-			n, err := is.prob.EvaluateDelta(out[i], gs[i], parents[i], dirt[i])
-			reused[i] = int32(n)
-			return err
-		}
-		reused[i] = -1
-		return is.prob.EvaluateCanonicalInto(out[i], gs[i])
-	})
-	if err != nil {
-		return nil, err
 	}
-	for _, n := range reused {
-		if n >= 0 {
+	if is.delta {
+		n, err := is.prob.EvaluateDelta(out, g, is.batchParents[i], is.batchDirt[i])
+		is.reused[i] = int32(n)
+		return err
+	}
+	is.reused[i] = -1
+	return is.prob.EvaluateCanonicalInto(out, g)
+}
+
+// finishBatch books the scored batch's delta accounting and returns its
+// evaluations, in batch order.
+func (is *island) finishBatch() []*coopt.Evaluation {
+	n := len(is.batch)
+	for _, r := range is.reused[:n] {
+		if r >= 0 {
 			is.deltaEvals++
-			is.layersReused += int(n)
+			is.layersReused += int(r)
 		}
 	}
-	return out, nil
+	return is.evals[:n]
 }
 
 // takeLevels carves an owned, cap==len block of n levels from the

@@ -187,3 +187,35 @@ func TestTracerCheckpointSpan(t *testing.T) {
 		t.Error("no checkpoint span recorded")
 	}
 }
+
+// TestTracePhasesTileSinglePopulation pins phase accounting under the
+// crew's overlap: a single population's breed span is the coordinator's
+// breeding, its evaluate span runs from the last child bred to the batch's
+// completion, so no two phase spans overlap, every generation records
+// both, and the phases plus "other" still add up to the search.
+func TestTracePhasesTileSinglePopulation(t *testing.T) {
+	atLeastProcs(t, 2)
+	_, tr := runTraced(t, "resnet18", 4, true, func(c *Config) { c.Workers = 2 })
+	spans := tr.Snapshot().Spans
+	perGen := map[int32]int{}
+	for i, sp := range spans {
+		if sp.Name == obs.PhaseBreed || sp.Name == obs.PhaseEvaluate {
+			perGen[sp.Gen]++
+		}
+		if i > 0 {
+			prev := spans[i-1]
+			if sp.Start < prev.Start+prev.Dur {
+				t.Fatalf("span %s (gen %d) starts at %v, before %s (gen %d) ends at %v",
+					sp.Name, sp.Gen, sp.Start, prev.Name, prev.Gen, prev.Start+prev.Dur)
+			}
+		}
+	}
+	if len(perGen) == 0 {
+		t.Fatal("no breed or evaluate spans recorded")
+	}
+	for gen, n := range perGen {
+		if n != 2 {
+			t.Errorf("generation %d recorded %d breed/evaluate spans, want 2", gen, n)
+		}
+	}
+}

@@ -39,8 +39,8 @@ const (
 	PhaseQueueWait = "queue_wait" // serve: job creation → worker pickup (CatRun)
 	PhaseSearch    = "search"     // facade: the whole optimize call (CatRun)
 	PhaseInit      = "init"       // engine: initial population evaluation
-	PhaseBreed     = "breed"      // engine: operator pipeline per generation
-	PhaseEvaluate  = "evaluate"   // engine: batch scoring per generation
+	PhaseBreed     = "breed"      // engine: operator pipeline per generation (the coordinator's breeding; helpers already score bred children)
+	PhaseEvaluate  = "evaluate"   // engine: batch scoring per generation, from the last child bred to the batch's completion
 	PhaseMigrate   = "migrate"    // engine: ring elite exchange (+ scout re-score)
 	PhaseRescore   = "rescore"    // engine: scout elites re-scored on the full model
 	PhaseCkpt      = "checkpoint" // engine: snapshot build + OnCheckpoint callback

@@ -1,8 +1,10 @@
-// Package par is the repo's one indexed parallel-for. The engine's batch
-// evaluator, the co-opt per-layer fan-out and the figure-cell runners all
-// share the same shape — N independent slots, bounded workers, first error
-// in index order, deterministic results because every slot owns its output
-// — so the pattern lives here once.
+// Package par is the repo's one-shot indexed parallel-for. The co-opt
+// per-layer fan-out and the figure-cell runners share the same shape — N
+// independent slots, bounded workers, first error in index order,
+// deterministic results because every slot owns its output — so the
+// pattern lives here once. The search engine's per-generation batches run
+// on a persistent crew instead (internal/core/crew.go): at a thousand
+// barriers per search, starting goroutines for each one costs too much.
 package par
 
 import (

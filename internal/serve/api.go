@@ -89,8 +89,10 @@ type OptimizeRequest struct {
 	// scale is the objective's — cycles for latency). Budget-truncating,
 	// so it participates in the dedup hash.
 	Target float64 `json:"target,omitempty"`
-	// Workers bounds the search's parallel evaluation workers (0 = all
-	// cores). Deliberately excluded from the dedup hash: results are
+	// Workers bounds the search's crew: the search goroutine plus
+	// Workers−1 helpers evaluating its design points (0 = the server's
+	// share of the cores, GOMAXPROCS / Config.Workers, at least 1).
+	// Deliberately excluded from the dedup hash: results are
 	// bit-identical at any setting.
 	Workers int `json:"workers,omitempty"`
 }

@@ -23,8 +23,10 @@ import (
 // Config sizes the service.
 type Config struct {
 	// Workers sizes the job worker pool — how many searches run
-	// concurrently (each search additionally parallelizes its own
-	// evaluations per its request's Workers option). 0 = GOMAXPROCS.
+	// concurrently. Each search additionally parallelizes its own
+	// breeding and evaluation per its request's Workers option; a request
+	// that leaves it 0 gets max(1, GOMAXPROCS/Workers), so concurrent
+	// jobs split the cores instead of contending for them. 0 = GOMAXPROCS.
 	Workers int
 	// QueueDepth bounds the number of jobs waiting for a worker; submits
 	// beyond it are rejected with 503 rather than queued unboundedly.
@@ -414,6 +416,12 @@ func (s *Server) runJob(j *Job) {
 	log.Info("job running", "model", j.spec.model.Name, "budget", j.spec.req.Budget,
 		"resuming", j.resume != nil)
 	opts := j.spec.opts
+	if opts.Workers == 0 {
+		// Up to cfg.Workers searches run at once: split the cores between
+		// them, so concurrent jobs never run crew helpers on shared cores.
+		// Results are the same at any worker count.
+		opts.Workers = max(1, runtime.GOMAXPROCS(0)/s.cfg.Workers)
+	}
 	// The server's shared tier backs every job. Safe under dedup: pure
 	// cache sharing is bit-identical, and the trajectory-changing warm
 	// start rides in via the spec (and its hash) instead.

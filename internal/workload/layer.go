@@ -159,6 +159,9 @@ func (l Layer) Validate() error {
 	if l.StrideY < 0 || l.StrideX < 0 {
 		return fmt.Errorf("workload: layer %s has negative stride", l.Name)
 	}
+	if l.Count < 0 {
+		return fmt.Errorf("workload: layer %s has negative count %d", l.Name, l.Count)
+	}
 	return nil
 }
 

@@ -202,14 +202,17 @@ type modelJSON struct {
 
 // ParseJSON reads a model in the JSON format. An in-document name wins
 // over the caller-supplied fallback (usually the file name). Unknown
-// fields are rejected so typos in hand-written workloads surface instead
-// of silently defaulting.
+// fields and anything after the document are rejected so typos in
+// hand-written workloads surface instead of silently defaulting.
 func ParseJSON(name string, r io.Reader) (Model, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var doc modelJSON
 	if err := dec.Decode(&doc); err != nil {
 		return Model{}, fmt.Errorf("workload: %s: %w", name, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Model{}, fmt.Errorf("workload: %s: trailing data after the model document", name)
 	}
 	if doc.Name != "" {
 		name = doc.Name

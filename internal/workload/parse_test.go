@@ -153,6 +153,8 @@ func TestParseJSONErrors(t *testing.T) {
 		"zero dim":       {`{"layers": [{"name": "z", "type": "CONV", "k": 0, "c": 8, "y": 8, "x": 8, "r": 3, "s": 3}]}`, ""},
 		"dsconv with C":  {`{"layers": [{"name": "d", "type": "DSCONV", "k": 8, "c": 2, "y": 8, "x": 8, "r": 3, "s": 3}]}`, ""},
 		"gemm with R":    {`{"layers": [{"name": "g", "type": "GEMM", "k": 8, "c": 8, "y": 8, "x": 1, "r": 3, "s": 1}]}`, ""},
+		"trailing data":  {`{"layers": [{"name": "g", "type": "GEMM", "k": 8, "c": 8, "y": 8, "x": 1, "r": 1, "s": 1}]} {"extra": true}`, "trailing data"},
+		"negative count": {`{"layers": [{"name": "n", "type": "CONV", "k": 8, "c": 8, "y": 8, "x": 8, "r": 3, "s": 3, "count": -2}]}`, "negative count"},
 	}
 	for name, tc := range cases {
 		_, err := ParseJSON("bad", strings.NewReader(tc.src))

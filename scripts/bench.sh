@@ -21,7 +21,7 @@ RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 
 go test -run '^$' \
-    -bench 'BenchmarkEvaluate$|BenchmarkEvaluatePhysical$|BenchmarkCostAnalyze$|BenchmarkDiGammaSearch$|BenchmarkDiGammaSearchDelta$|BenchmarkDiGammaSearchPruned$|BenchmarkDiGammaSearchIslands$|BenchmarkDiGammaSearchTraced$|BenchmarkDiGammaSearchSharedCache$' \
+    -bench 'BenchmarkEvaluate$|BenchmarkEvaluatePhysical$|BenchmarkCostAnalyze$|BenchmarkDiGammaSearch$|BenchmarkDiGammaSearchDelta$|BenchmarkDiGammaSearchPruned$|BenchmarkDiGammaSearchIslands$|BenchmarkDiGammaSearchTraced$|BenchmarkDiGammaSearchSharedCache$|BenchmarkDiGammaSearchWorkers$' \
     -benchmem -benchtime "$BENCHTIME" . | tee "$RAW"
 
 # Serving rows: one end-to-end served search (submit → queue → run →

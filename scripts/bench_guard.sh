@@ -42,6 +42,12 @@
 # admission pass) must run ≥ BATCH_MIN× (default 1.5×) faster than K
 # independent submits of the same specs (BenchmarkServeBatchSweep).
 # Same-machine ratio, no calibration needed.
+#
+# A fifth gate covers the run's crew: one resnet18 search at budget 4000
+# on a full crew (Workers = GOMAXPROCS) must run ≥ PAR_MIN× (default
+# 1.2×) faster than the same search serially (BenchmarkDiGammaSearchWorkers,
+# median of 3 runs per row). Same-machine ratio, no calibration needed;
+# skipped on a host with fewer than 2 CPUs, where both rows run serially.
 
 set -eu
 
@@ -51,6 +57,7 @@ TOL=${TOL:-30}
 BENCHTIME=${BENCHTIME:-1s}
 WARM_MIN=${WARM_MIN:-2.0}
 BATCH_MIN=${BATCH_MIN:-1.5}
+PAR_MIN=${PAR_MIN:-1.2}
 
 [ -f "$BASE" ] || { echo "bench_guard: no baseline $BASE"; exit 1; }
 
@@ -167,3 +174,45 @@ END {
     }
 }
 ' "$BRAW"
+
+# --- parallel-vs-serial gate -------------------------------------------
+NPROC=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
+if [ "$NPROC" -lt 2 ]; then
+    echo "bench_guard: parallel-vs-serial gate skipped ($NPROC CPU)"
+    exit 0
+fi
+PRAW=$(mktemp)
+trap 'rm -f "$RAW" "$WRAW" "$BRAW" "$PRAW"' EXIT
+
+go test -run '^$' -bench 'BenchmarkDiGammaSearchWorkers$' \
+    -benchtime "$BENCHTIME" -count 3 . | tee "$PRAW"
+
+awk -v min="$PAR_MIN" '
+# median of the n values in v[1..n] (insertion sort; n is small)
+function median(v, n,    i, j, x) {
+    for (i = 2; i <= n; i++) {
+        x = v[i]
+        for (j = i - 1; j >= 1 && v[j] > x; j--) v[j + 1] = v[j]
+        v[j + 1] = x
+    }
+    return n % 2 ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2
+}
+/^BenchmarkDiGammaSearchWorkers\/resnet18\/serial/   { s[++ns] = $3 }
+/^BenchmarkDiGammaSearchWorkers\/resnet18\/parallel/ { p[++np] = $3 }
+END {
+    if (ns == 0 || np == 0) {
+        print "bench_guard: parallel-vs-serial rows missing"; exit 1
+    }
+    serial = median(s, ns); parallel = median(p, np)
+    if (parallel + 0 == 0) {
+        print "bench_guard: parallel-vs-serial rows missing"; exit 1
+    }
+    ratio = serial / parallel
+    printf "bench_guard: parallel search speedup %.2fx (serial %.0f ns/op, parallel %.0f ns/op, medians of %d, floor %.1fx)\n", \
+        ratio, serial, parallel, np, min
+    if (ratio < min) {
+        printf "REGRESSION BenchmarkDiGammaSearchWorkers: parallel/serial speedup %.2fx < %.1fx\n", ratio, min
+        exit 1
+    }
+}
+' "$PRAW"
