@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,77 +19,6 @@ import (
 func atLeastProcs(t *testing.T, n int) {
 	prev := runtime.GOMAXPROCS(max(runtime.GOMAXPROCS(0), n))
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-}
-
-// TestCrewJobContract is the randomized property test of a crew job
-// across crew sizes, batch sizes and release schedules: every index runs
-// exactly once, never before the coordinator released it, and the error
-// reported is the failing one with the lowest index.
-func TestCrewJobContract(t *testing.T) {
-	atLeastProcs(t, 4)
-	rng := rand.New(rand.NewSource(0xc4e3))
-	for _, size := range []int{1, 2, 3, 5} {
-		c := newCrew(size)
-		for trial := 0; trial < 60; trial++ {
-			n := rng.Intn(70)
-			errAt := make([]error, n)
-			first := -1
-			for i := range errAt {
-				if rng.Float64() < 0.05 {
-					errAt[i] = fmt.Errorf("slot %d failed", i)
-					if first < 0 {
-						first = i
-					}
-				}
-			}
-			released := make([]atomic.Bool, n)
-			calls := make([]atomic.Int32, n)
-			var early atomic.Int32
-			fn := func(i int) error {
-				if !released[i].Load() {
-					early.Add(1)
-				}
-				calls[i].Add(1)
-				return errAt[i]
-			}
-			var err error
-			if trial%2 == 0 {
-				// Overlapped: released one slot at a time, as breeding does.
-				j := c.start(n, 0, fn)
-				for i := 0; i < n; i++ {
-					// Let a helper claim slot i first, so the release gate,
-					// not timing, is what holds it back.
-					for t0 := time.Now(); size > 1 && j.next.Load() <= int64(i) && time.Since(t0) < time.Millisecond; {
-						runtime.Gosched()
-					}
-					released[i].Store(true)
-					j.release(i + 1)
-				}
-				err = c.finish(j)
-			} else {
-				for i := range released {
-					released[i].Store(true)
-				}
-				err = c.run(n, fn)
-			}
-			label := fmt.Sprintf("size %d trial %d (n=%d)", size, trial, n)
-			if early.Load() != 0 {
-				t.Fatalf("%s: %d slots ran before their release", label, early.Load())
-			}
-			for i := range calls {
-				if got := calls[i].Load(); got != 1 {
-					t.Fatalf("%s: slot %d ran %d times", label, i, got)
-				}
-			}
-			switch {
-			case first < 0 && err != nil:
-				t.Fatalf("%s: unexpected error %v", label, err)
-			case first >= 0 && !errors.Is(err, errAt[first]):
-				t.Fatalf("%s: error %v, want slot %d's", label, err, first)
-			}
-		}
-		c.stop()
-	}
 }
 
 // sameRun compares everything a search returns that the crew could
@@ -231,15 +158,12 @@ func TestCrewGoroutinesReleased(t *testing.T) {
 			}
 		}
 	}
-	var ck *Checkpoint
 	cases := []struct {
 		name string
 		run  func(t *testing.T) error
 	}{
 		{"completed", func(t *testing.T) error {
-			e := engine(t, func(c *Config) { c.CheckpointEvery = 2 })
-			e.OnCheckpoint = func(c *Checkpoint) { ck = c }
-			_, err := e.Run(400)
+			_, err := engine(t, nil).Run(400)
 			return err
 		}},
 		{"cancelled", func(t *testing.T) error {
@@ -269,6 +193,12 @@ func TestCrewGoroutinesReleased(t *testing.T) {
 		{"failing", func(t *testing.T) error {
 			// The checkpoint belongs to a 400-sample run: restore refuses
 			// it after the crew is up.
+			var ck *Checkpoint
+			src := engine(t, func(c *Config) { c.CheckpointEvery = 2 })
+			src.OnCheckpoint = func(c *Checkpoint) { ck = c }
+			if _, err := src.Run(400); err != nil || ck == nil {
+				return fmt.Errorf("checkpointed run: err %v, checkpoint %v", err, ck)
+			}
 			e := engine(t, func(c *Config) { c.CheckpointEvery = 2 })
 			e.Resume = ck
 			if _, err := e.Run(500); err == nil {

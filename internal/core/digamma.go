@@ -33,6 +33,7 @@ import (
 
 	"digamma/internal/coopt"
 	"digamma/internal/obs"
+	"digamma/internal/par"
 	"digamma/internal/space"
 )
 
@@ -423,8 +424,8 @@ func (e *Engine) RunContext(ctx context.Context, budget int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := newCrew(min(e.Config.Workers, runtime.GOMAXPROCS(0)))
-	defer c.stop()
+	c := par.NewCrew(min(e.Config.Workers, runtime.GOMAXPROCS(0)))
+	defer c.Stop()
 	e.rescoreReused = 0
 	res := &Result{}
 	evs := make([][]*coopt.Evaluation, len(islands))
@@ -685,7 +686,7 @@ func (e *Engine) buildIslands(budget int) ([]*island, error) {
 // batch's completion, so the two tile the generation. K islands instead
 // breed island-concurrently, then score all broods as one batch, so the
 // crew stays busy whatever K is against the crew's size.
-func (e *Engine) generation(c *crew, islands []*island, counts []int, evs [][]*coopt.Evaluation, gen int) error {
+func (e *Engine) generation(c *par.Crew, islands []*island, counts []int, evs [][]*coopt.Evaluation, gen int) error {
 	if len(islands) == 1 {
 		is := islands[0]
 		n := is.brood()
@@ -694,19 +695,19 @@ func (e *Engine) generation(c *crew, islands []*island, counts []int, evs [][]*c
 		}
 		t0 := e.Trace.Now()
 		is.prepareBatch(is.children[:n], is.parents[:n], is.dirt[:n])
-		j := c.start(n, 0, is.evalSlot)
+		j := c.Start(n, 0, is.evalSlot)
 		for i := 0; i < n; i++ {
 			is.breedSlot(i)
-			j.release(i + 1)
+			j.Release(i + 1)
 		}
 		e.traceSpan(obs.PhaseBreed, is.id, gen, t0)
 		t1 := e.Trace.Now()
-		err := c.finish(j)
+		err := c.Finish(j)
 		evs[0] = is.finishBatch()
 		e.traceEvaluate(obs.PhaseEvaluate, is, gen, t1, n)
 		return err
 	}
-	err := c.run(len(islands), func(i int) error {
+	err := c.Run(len(islands), func(i int) error {
 		is := islands[i]
 		t0 := e.Trace.Now()
 		n := is.brood()
@@ -731,7 +732,7 @@ func (e *Engine) generation(c *crew, islands []*island, counts []int, evs [][]*c
 // first island whose running total exceeds j — and leaves island i's
 // evaluations in evs[i]. Each island's span covers the whole job: its
 // batch is done only when the job is.
-func (e *Engine) evaluate(c *crew, islands []*island, counts []int, evs [][]*coopt.Evaluation, phase string, gen int) error {
+func (e *Engine) evaluate(c *par.Crew, islands []*island, counts []int, evs [][]*coopt.Evaluation, phase string, gen int) error {
 	ends := make([]int, len(islands))
 	total := 0
 	for i, n := range counts {
@@ -739,7 +740,7 @@ func (e *Engine) evaluate(c *crew, islands []*island, counts []int, evs [][]*coo
 		ends[i] = total
 	}
 	t0 := e.Trace.Now()
-	err := c.run(total, func(j int) error {
+	err := c.Run(total, func(j int) error {
 		i := sort.SearchInts(ends, j+1)
 		return islands[i].evalSlot(j - (ends[i] - counts[i]))
 	})

@@ -90,8 +90,9 @@ type OptimizeRequest struct {
 	// so it participates in the dedup hash.
 	Target float64 `json:"target,omitempty"`
 	// Workers bounds the search's crew: the search goroutine plus
-	// Workers−1 helpers evaluating its design points (0 = the server's
-	// share of the cores, GOMAXPROCS / Config.Workers, at least 1).
+	// Workers−1 helpers evaluating its design points (0 = the job's share
+	// of the cores: GOMAXPROCS over the searches running or queued when it
+	// starts, at most Config.Workers, at least 1 core each).
 	// Deliberately excluded from the dedup hash: results are
 	// bit-identical at any setting.
 	Workers int `json:"workers,omitempty"`

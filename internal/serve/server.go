@@ -25,8 +25,10 @@ type Config struct {
 	// Workers sizes the job worker pool — how many searches run
 	// concurrently. Each search additionally parallelizes its own
 	// breeding and evaluation per its request's Workers option; a request
-	// that leaves it 0 gets max(1, GOMAXPROCS/Workers), so concurrent
-	// jobs split the cores instead of contending for them. 0 = GOMAXPROCS.
+	// that leaves it 0 gets GOMAXPROCS divided by the searches running or
+	// queued when it starts (at most Workers, at least one core each): a
+	// job that starts alone gets every core, and concurrent jobs split
+	// them instead of contending for them. 0 = GOMAXPROCS.
 	Workers int
 	// QueueDepth bounds the number of jobs waiting for a worker; submits
 	// beyond it are rejected with 503 rather than queued unboundedly.
@@ -166,6 +168,7 @@ type Server struct {
 	store    Store
 	analysis *digamma.AnalysisStore // shared evaluation tier; nil when disabled
 	draining atomic.Bool
+	running  atomic.Int32 // jobs inside runJob
 
 	started            time.Time
 	submitted          atomic.Uint64
@@ -415,12 +418,18 @@ func (s *Server) runJob(j *Job) {
 	log := s.jobLog(j)
 	log.Info("job running", "model", j.spec.model.Name, "budget", j.spec.req.Budget,
 		"resuming", j.resume != nil)
+	running := int(s.running.Add(1))
+	defer s.running.Add(-1)
 	opts := j.spec.opts
 	if opts.Workers == 0 {
-		// Up to cfg.Workers searches run at once: split the cores between
-		// them, so concurrent jobs never run crew helpers on shared cores.
-		// Results are the same at any worker count.
-		opts.Workers = max(1, runtime.GOMAXPROCS(0)/s.cfg.Workers)
+		// Split the cores between the searches expected to share them:
+		// those running now, this one included, plus the queued ones the
+		// free workers start next, at most cfg.Workers. A job that starts
+		// alone gets a full crew; under load, concurrent jobs never run
+		// crew helpers on shared cores. Results are the same at any
+		// worker count.
+		busy := min(running+s.queueDepth(), s.cfg.Workers)
+		opts.Workers = max(1, runtime.GOMAXPROCS(0)/busy)
 	}
 	// The server's shared tier backs every job. Safe under dedup: pure
 	// cache sharing is bit-identical, and the trajectory-changing warm

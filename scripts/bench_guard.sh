@@ -44,9 +44,10 @@
 # Same-machine ratio, no calibration needed.
 #
 # A fifth gate covers the run's crew: one resnet18 search at budget 4000
-# on a full crew (Workers = GOMAXPROCS) must run ≥ PAR_MIN× (default
-# 1.2×) faster than the same search serially (BenchmarkDiGammaSearchWorkers,
-# median of 3 runs per row). Same-machine ratio, no calibration needed;
+# on a full crew (Workers = GOMAXPROCS) must run ≥ PAR_MIN× faster than
+# the same search serially (BenchmarkDiGammaSearchWorkers, median of 3
+# runs per row). PAR_MIN is fixed at 1.2× here, not read from the
+# environment. Same-machine ratio, no calibration needed;
 # skipped on a host with fewer than 2 CPUs, where both rows run serially.
 
 set -eu
@@ -57,7 +58,7 @@ TOL=${TOL:-30}
 BENCHTIME=${BENCHTIME:-1s}
 WARM_MIN=${WARM_MIN:-2.0}
 BATCH_MIN=${BATCH_MIN:-1.5}
-PAR_MIN=${PAR_MIN:-1.2}
+PAR_MIN=1.2
 
 [ -f "$BASE" ] || { echo "bench_guard: no baseline $BASE"; exit 1; }
 
